@@ -91,6 +91,7 @@ from repro.runtime.shard import (
     TraceSummary,
     ratio_histogram,
     shard_index_of as _shard_index,
+    shard_totals,
     top_k_riskiest,
 )
 from repro.sim.trace import ReceiveRecord
@@ -649,19 +650,11 @@ class MonitorFleet:
             event_budget=group.event_budget,
             open_traces=group.open_traces,
             retired_traces=group.retired_traces,
-            records=sum(s.records for s in stats),
-            flushes=sum(s.flushes for s in stats),
-            oracle_calls=sum(s.oracle_calls for s in stats),
             live_events=group.live_events,
             peak_live_events=group.peak_live_events,
-            tombstoned_events=sum(s.tombstoned_events for s in stats),
-            evictions=sum(s.evictions for s in stats),
-            summary_compactions=sum(s.summary_compactions for s in stats),
-            summary_edges=sum(s.summary_edges for s in stats),
-            auto_retired=sum(s.auto_retired for s in stats),
             budget_overruns=group.budget_overruns,
             degraded_traces=group.degraded_traces(),
             violating_traces=group.violating_ids(),
             shards=tuple(stats),
-            auto_compactions=sum(s.auto_compactions for s in stats),
+            **shard_totals(stats),
         )

@@ -50,13 +50,16 @@ because the monitor only ever refreshes at ratios strictly above that
 maximum (the Farey-successor step), every ratio it reports after
 summary compaction is still bit-identical to an uncompacted monitor's.
 
-Compaction *cadence* can be left to the monitor itself: constructed
-with ``compact_threshold=t``, the monitor tracks its own in-flight
-sends from record metadata and summary-compacts whenever the live
-digraph outgrows ``t`` times its boundary (the frontier plus pinned
-send events) -- an adaptive trigger that compacts exactly when there is
-something worth reclaiming, instead of every k records regardless of
-how little a fixed cadence would remove (see
+The monitor keeps the one in-flight ledger of its trace: every record's
+``sends`` metadata announces messages, every arrival retires one, and
+:meth:`OnlineAbcMonitor.pinned_events` turns the ledger plus each
+process's frontier into the events no compaction may cut (the fleet's
+budget eviction reads the same pins).  Compaction *cadence* can be
+left to the monitor itself: constructed with ``compact_threshold=t``,
+it summary-compacts whenever the live digraph outgrows ``t`` times
+that boundary -- an adaptive trigger that compacts exactly when there
+is something worth reclaiming, instead of every k records regardless
+of how little a fixed cadence would remove (see
 :meth:`OnlineAbcMonitor.maybe_compact`).
 
 A third facility serves the *multi-trace* deployment of
@@ -91,11 +94,11 @@ class MonitorObs:
     functions of the observed record stream (the kernel conformance
     gate already asserts oracle-call counts bit-identical), so they
     merge identically across process and thread backends.  Refresh
-    latency is wall clock and is not.  The refresh histogram doubles as
-    the ``kernel_sweep`` lifecycle stage.
+    latency is wall clock and is not; it is recorded as the
+    ``kernel_sweep`` lifecycle stage.
     """
 
-    __slots__ = ("oracle_calls", "compactions", "refresh_ns", "sweep_ns")
+    __slots__ = ("oracle_calls", "compactions", "sweep_ns")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.oracle_calls = registry.counter(
@@ -105,10 +108,6 @@ class MonitorObs:
         self.compactions = registry.counter(
             "repro_monitor_compaction_passes_total",
             help="threshold-triggered summary compactions (maybe_compact)",
-        )
-        self.refresh_ns = registry.histogram(
-            "repro_monitor_refresh_ns",
-            help="incremental worst-ratio refresh latency",
         )
         self.sweep_ns = registry.histogram(
             STAGE_METRIC,
@@ -168,10 +167,10 @@ class OnlineAbcMonitor:
             the running worst ratio grows (including its first
             appearance).
         compact_threshold: optional adaptive compaction cadence
-            (``> 1``).  The monitor then tracks in-flight sends from
-            record metadata (``record.sends``) and summary-compacts its
-            digraph whenever the live event count exceeds the threshold
-            times the boundary it would keep -- bounding memory by
+            (``> 1``).  The monitor then summary-compacts its digraph
+            whenever the live event count exceeds the threshold times
+            the boundary it would keep (:meth:`pinned_events`, built
+            from ``record.sends`` metadata) -- bounding memory by
             ``threshold * O(frontier + in-flight sends)`` with every
             reported ratio still bit-identical.  Only streams carrying
             complete sends metadata keep the monitor exact under this
@@ -210,10 +209,10 @@ class OnlineAbcMonitor:
         self.violation: CycleClassification | None = None
         self.forgotten_message_edges = 0
         self.auto_compactions = 0
-        # (send event, destination) -> announced-but-unarrived messages;
-        # maintained only under compact_threshold (the fleet tracks its
-        # own copy per trace for eviction pinning).
-        self._in_flight: dict[tuple[Event, ProcessId], int] = {}
+        # (send process, send index, destination) -> messages announced
+        # by a record's ``sends`` but not yet observed arriving; every
+        # key pins its send event (see ``pinned_events``).
+        self._in_flight: dict[tuple[ProcessId, int, ProcessId], int] = {}
         self.kernel = kernel
         self._checker = AdmissibilityChecker(kernel=kernel)
         self._worst: Fraction | None = None
@@ -321,20 +320,7 @@ class OnlineAbcMonitor:
         lower bound; pin in-flight sends when forgetting to keep the
         count at zero).
         """
-        self.observe_event(record.event)
-        if message_kept(
-            record, self.faulty, self.drop_faulty, self.keep_message
-        ):
-            src = record.send_event
-            assert src is not None
-            if src.index < self._checker.first_live_index(src.process):
-                self.forgotten_message_edges += 1
-            else:
-                self.observe_message(src, record.event)
-        if self.compact_threshold is not None:
-            self._track_record(record)
-            self.maybe_compact()
-        return self._worst
+        return self.observe_batch((record,))
 
     def observe_trace(self, trace: Iterable[ReceiveRecord]) -> Fraction | None:
         """Consume many records (a whole trace or a new suffix of one)."""
@@ -367,11 +353,21 @@ class OnlineAbcMonitor:
         in-flight messages keeps the count at zero and the monitor exact.
         """
         added = False
-        track = self.compact_threshold is not None
+        in_flight = self._in_flight
         for record in records:
-            self.observe_event(record.event)
-            if track:
-                self._track_record(record)
+            event = record.event
+            self.observe_event(event)
+            src = record.send_event
+            if record.sender is not None and src is not None:
+                key = (src.process, src.index, event.process)
+                count = in_flight.get(key)
+                if count == 1:
+                    del in_flight[key]
+                elif count:
+                    in_flight[key] = count - 1
+            for send in record.sends:
+                key = (event.process, event.index, send.dest)
+                in_flight[key] = in_flight.get(key, 0) + 1
             if message_kept(
                 record, self.faulty, self.drop_faulty, self.keep_message
             ):
@@ -384,11 +380,10 @@ class OnlineAbcMonitor:
                     added = True
         if added:
             self._refresh()
-        if track:
-            # After the refresh: the compaction floor is the *current*
-            # running worst, which keeps the compacted digraph exact for
-            # every ratio the Farey-successor step will ever probe.
-            self.maybe_compact()
+        # After the refresh: the compaction floor is the *current*
+        # running worst, which keeps the compacted digraph exact for
+        # every ratio the Farey-successor step will ever probe.
+        self.maybe_compact()
         return self._worst
 
     def observe_batch_columnar(
@@ -397,16 +392,15 @@ class OnlineAbcMonitor:
         """Columnar twin of :meth:`observe_batch`: absorb a batch of
         parallel columns without materializing a single record object.
 
-        One pass over the columns replicates the
-        :func:`~repro.sim.trace.message_kept` / forgotten-prefix
-        filtering into an aligned origin column, which
+        One pass over the columns updates the in-flight ledger and
+        replicates the :func:`~repro.sim.trace.message_kept` /
+        forgotten-prefix filtering into an aligned origin column, which
         :meth:`~repro.core.synchrony.AdmissibilityChecker.absorb_batch`
-        bulk-appends (H-edge order per record preserved); one more pass
-        (:meth:`_track_columns`) replicates the in-flight bookkeeping
-        behind adaptive compaction.  Everything observable -- ratios,
-        :attr:`changes`, :attr:`violation`, oracle-call counts,
-        :attr:`forgotten_message_edges`, compaction cadence -- is
-        bit-identical to :meth:`observe_batch` on the same records.
+        bulk-appends (H-edge order per record preserved).  Everything
+        observable -- ratios, :attr:`changes`, :attr:`violation`,
+        oracle-call counts, :attr:`forgotten_message_edges`, the
+        in-flight ledger, compaction cadence -- is bit-identical to
+        :meth:`observe_batch` on the same records.
 
         A ``keep_message`` filter is a predicate over *record objects*,
         so monitors carrying one fall back to the object path.
@@ -414,9 +408,13 @@ class OnlineAbcMonitor:
         if self.keep_message is not None:
             return self.observe_batch(cols.to_records())
         checker = self._checker
+        in_flight = self._in_flight
+        processes = cols.processes
+        indexes = cols.indexes
         senders = cols.senders
         send_processes = cols.send_processes
         send_indexes = cols.send_indexes
+        sends = cols.sends
         faulty = self.faulty
         drop = self.drop_faulty
         first_live = checker.first_live_index
@@ -426,26 +424,30 @@ class OnlineAbcMonitor:
         for k in range(n):
             sender = senders[k]
             sp = send_processes[k]
-            if sender is None or sp is None:
-                continue
-            if drop and sender in faulty:
-                continue
-            si = send_indexes[k]
-            if si < first_live(sp):
-                forgotten += 1
-                continue
-            messages[k] = (sp, si)
-        added = checker.absorb_batch(
-            (cols.processes, cols.indexes), messages
-        )
+            if sender is not None and sp is not None:
+                si = send_indexes[k]
+                key = (sp, si, processes[k])
+                count = in_flight.get(key)
+                if count == 1:
+                    del in_flight[key]
+                elif count:
+                    in_flight[key] = count - 1
+                if not (drop and sender in faulty):
+                    if si < first_live(sp):
+                        forgotten += 1
+                    else:
+                        messages[k] = (sp, si)
+            rows = sends[k]
+            if rows:
+                p, i = processes[k], indexes[k]
+                for row in rows:
+                    key = (p, i, row[0])
+                    in_flight[key] = in_flight.get(key, 0) + 1
+        added = checker.absorb_batch((processes, indexes), messages)
         self.forgotten_message_edges += forgotten
-        track = self.compact_threshold is not None
-        if track:
-            self._track_columns(cols)
         if added:
             self._refresh()
-        if track:
-            self.maybe_compact()
+        self.maybe_compact()
         return self._worst
 
     def observe_event(self, event: Event) -> None:
@@ -599,58 +601,20 @@ class OnlineAbcMonitor:
     # adaptive compaction cadence
     # ------------------------------------------------------------------
 
-    def _track_record(self, record: ReceiveRecord) -> None:
-        """Maintain the in-flight send counter behind adaptive
-        compaction (mirrors the fleet's per-trace pinning bookkeeping)."""
-        in_flight = self._in_flight
-        if record.sender is not None and record.send_event is not None:
-            key = (record.send_event, record.event.process)
-            if in_flight.get(key, 0) > 0:
-                in_flight[key] -= 1
-                if not in_flight[key]:
-                    del in_flight[key]
-        for send in record.sends:
-            dst_key = (record.event, send.dest)
-            in_flight[dst_key] = in_flight.get(dst_key, 0) + 1
-
-    def _track_columns(self, cols: RecordColumns) -> None:
-        """Columnar twin of a :meth:`_track_record` loop.
-
-        Keys still use :class:`Event` (they must compare equal to the
-        object path's keys across compaction decisions), but the events
-        are fast-constructed from the columns -- two dict stores instead
-        of a validated dataclass ``__init__``.
-        """
-        in_flight = self._in_flight
-        processes = cols.processes
-        indexes = cols.indexes
-        senders = cols.senders
-        send_processes = cols.send_processes
-        send_indexes = cols.send_indexes
-        sends = cols.sends
-        new_event = Event.__new__
-        for k in range(len(processes)):
-            sp = send_processes[k]
-            if senders[k] is not None and sp is not None:
-                src = new_event(Event)
-                src.__dict__["process"] = sp
-                src.__dict__["index"] = send_indexes[k]
-                key = (src, processes[k])
-                if in_flight.get(key, 0) > 0:
-                    in_flight[key] -= 1
-                    if not in_flight[key]:
-                        del in_flight[key]
-            rows = sends[k]
-            if rows:
-                event = new_event(Event)
-                event.__dict__["process"] = processes[k]
-                event.__dict__["index"] = indexes[k]
-                for row in rows:
-                    dst_key = (event, row[0])
-                    in_flight[dst_key] = in_flight.get(dst_key, 0) + 1
-
-    def _pinned_in_flight(self) -> list[Event]:
-        return [key[0] for key, n in self._in_flight.items() if n > 0]
+    def pinned_events(self) -> list[Event]:
+        """Events compaction and eviction must keep live: each process's
+        last event (its next local edge attaches there) and the send
+        event of every message still in flight (its message edge is
+        still to come)."""
+        checker = self._checker
+        pinned = [
+            Event(process, checker.n_events_of(process) - 1)
+            for process in checker.processes
+        ]
+        pinned.extend(
+            Event(process, index) for process, index, _dest in self._in_flight
+        )
+        return pinned
 
     def _compactable_size(self) -> int:
         """How many live events summary compaction could reclaim right
@@ -669,11 +633,10 @@ class OnlineAbcMonitor:
             process: checker.n_events_of(process) - 1
             for process in checker.processes
         }
-        for (event, _dest), n in self._in_flight.items():
-            if n > 0:
-                stop = stops.get(event.process)
-                if stop is not None and event.index < stop:
-                    stops[event.process] = event.index
+        for process, index, _dest in self._in_flight:
+            stop = stops.get(process)
+            if stop is not None and index < stop:
+                stops[process] = index
         return sum(
             max(0, stop - checker.first_live_index(process))
             for process, stop in stops.items()
@@ -701,7 +664,7 @@ class OnlineAbcMonitor:
         boundary = live - removable
         if removable <= 0 or live <= threshold * max(boundary, 1):
             return 0
-        cut = self._checker.summarizable_prefix(self._pinned_in_flight())
+        cut = self._checker.summarizable_prefix(self.pinned_events())
         if not cut:
             return 0
         removed = self.forget_prefix(cut, summarize=True)
@@ -743,9 +706,7 @@ class OnlineAbcMonitor:
             start = time.perf_counter_ns()
             calls_before = checker.oracle_calls
             self._worst = checker.updated_worst_ratio(previous)
-            duration = time.perf_counter_ns() - start
-            obs.refresh_ns.observe(duration)
-            obs.sweep_ns.observe(duration)
+            obs.sweep_ns.observe(time.perf_counter_ns() - start)
             issued = checker.oracle_calls - calls_before
             if issued:
                 obs.oracle_calls.inc(issued)

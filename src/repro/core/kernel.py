@@ -11,10 +11,6 @@ environment variable:
   round-batched SPFA the checker has always run, reading the checker's
   adjacency lists directly.
 * ``flat_int``: the exact-arithmetic fast kernel, described below.
-* ``vector``: ``flat_int`` with its certificate sweep vectorized over an
-  optional numpy backend.  Degrades gracefully -- without numpy (or when
-  a query's magnitudes could overflow int64) it behaves exactly like
-  ``flat_int``, keeping the stdlib-only default intact.
 
 The ``flat_int`` kernel rests on two exact short-circuits, maintained in
 flat parallel arrays of plain Python integers:
@@ -62,11 +58,9 @@ contract belongs to the caller).
 
 **Overflow safety**: there is nothing to argue away -- every comparison
 is performed on arbitrary-precision Python integers (cross-multiplied
-wherever ratios are compared), and the optional numpy sweep guards its
-input magnitudes and falls back to exact arithmetic before int64 could
-saturate.  Deep Stern-Brocot refinement can push ``p`` and ``q`` to the
-full ratio bound and summary profiles can carry large hop counts;
-neither changes any answer.
+wherever ratios are compared).  Deep Stern-Brocot refinement can push
+``p`` and ``q`` to the full ratio bound and summary profiles can carry
+large hop counts; neither changes any answer.
 
 Witness extraction is kernel-*shared*: :func:`find_negative_cycle_edges`
 runs one round-based Bellman-Ford that records predecessor edge indices
@@ -96,7 +90,6 @@ __all__ = [
     "FlatIntKernel",
     "Kernel",
     "PyObjectKernel",
-    "VectorKernel",
     "available_kernels",
     "find_negative_cycle_edges",
     "make_kernel",
@@ -836,89 +829,9 @@ class FlatIntKernel(Kernel):
         self._wit_max_eid = max(cycle)
 
 
-class VectorKernel(FlatIntKernel):
-    """``flat_int`` with the exact certificate sweep vectorized over
-    numpy when available.
-
-    The sweep evaluates ``s*(p*df - q*db) - dl`` over the distinct
-    tracked slack profiles; with numpy present and every magnitude
-    provably inside int64 (guarded *before* the cast -- int64 overflow
-    would be silent), the evaluation runs as three vector ops.  Without
-    numpy, or for small sweeps, or near the overflow guard, it behaves
-    exactly like :class:`FlatIntKernel` -- graceful degradation, never a
-    different answer.
-    """
-
-    name = "vector"
-
-    #: below this many distinct profiles the numpy round trip costs more
-    #: than the plain loop.
-    _MIN_VECTOR_SWEEP = 64
-    _INT64_GUARD = 2**62
-
-    def __init__(self, checker: "AdmissibilityChecker") -> None:
-        try:
-            import numpy
-        except Exception:  # pragma: no cover - numpy genuinely optional
-            numpy = None
-        self._np = numpy
-        self._rev = 0
-        super().__init__(checker)
-
-    def _reset(self) -> None:
-        super()._reset()
-        self._rev += 1
-        self._cache_rev = -1
-        self._cache_arrays: tuple | None = None
-        self._cache_bound = 1
-
-    def _bucket_add(self, triple: tuple[int, int, int]) -> None:
-        self._rev += 1
-        super()._bucket_add(triple)
-
-    def _bucket_remove(self, triple: tuple[int, int, int]) -> None:
-        self._rev += 1
-        super()._bucket_remove(triple)
-
-    def _sweep_clean(self, p: int, q: int, s: int) -> bool:
-        np = self._np
-        buckets = self._buckets
-        if np is None or len(buckets) < self._MIN_VECTOR_SWEEP:
-            return super()._sweep_clean(p, q, s)
-        if self._cache_rev != self._rev:
-            triples = list(buckets)
-            bound = 1
-            for df, db, dl in triples:
-                mag = max(df, -df, db, -db, dl, -dl)
-                if mag > bound:
-                    bound = mag
-            self._cache_bound = bound
-            try:
-                self._cache_arrays = (
-                    np.array([t[0] for t in triples], dtype=np.int64),
-                    np.array([t[1] for t in triples], dtype=np.int64),
-                    np.array([t[2] for t in triples], dtype=np.int64),
-                )
-            except OverflowError:  # a profile itself beyond int64
-                self._cache_arrays = None
-            self._cache_rev = self._rev
-        arrays = self._cache_arrays
-        if (
-            arrays is None
-            or s * max(p, q) * (2 * self._cache_bound) >= self._INT64_GUARD
-        ):
-            return super()._sweep_clean(p, q, s)
-        adf, adb, adl = arrays
-        if bool(((s * (p * adf - q * adb) - adl) < 0).any()):
-            return False
-        self._retighten_window()
-        return True
-
-
 _KERNELS: dict[str, type[Kernel]] = {
     PyObjectKernel.name: PyObjectKernel,
     FlatIntKernel.name: FlatIntKernel,
-    VectorKernel.name: VectorKernel,
 }
 
 

@@ -501,7 +501,7 @@ def decode_specs(
 # ----------------------------------------------------------------------
 
 GROUP_SNAPSHOT_MAGIC = "abc-group-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def encode_monitor(monitor: OnlineAbcMonitor) -> bytes:
@@ -543,11 +543,6 @@ def encode_trace_state(trace_id: TraceId, state: TraceState) -> tuple:
         trace_id,
         encode_monitor(state.monitor),
         tuple(encode_record(record) for record in state.pending),
-        tuple(
-            (event.process, event.index, dest, count)
-            for (event, dest), count in state.in_flight.items()
-        ),
-        tuple(state.frontier.items()),
         state.n_records,
         state.last_touch,
         state.live_cached,
@@ -558,14 +553,10 @@ def encode_trace_state(trace_id: TraceId, state: TraceState) -> tuple:
 def decode_trace_state(wire: tuple) -> tuple[TraceId, TraceState]:
     """Rebuild a trace state; the caller (an importing group) must
     re-wire the monitor's violation bookkeeping."""
-    from collections import Counter
-
     (
         trace_id,
         blob,
         pending,
-        in_flight,
-        frontier,
         n_records,
         last_touch,
         live_cached,
@@ -573,13 +564,6 @@ def decode_trace_state(wire: tuple) -> tuple[TraceId, TraceState]:
     ) = wire
     state = TraceState(decode_monitor(blob), reopened=reopened)
     state.pending = [decode_record(row) for row in pending]
-    state.in_flight = Counter(
-        {
-            (Event(process, index), dest): count
-            for process, index, dest, count in in_flight
-        }
-    )
-    state.frontier = dict(frontier)
     state.n_records = n_records
     state.last_touch = last_touch
     state.live_cached = live_cached

@@ -126,13 +126,6 @@ class ProducerClient:
         timeout: per-socket-operation timeout; also how long a full
             window waits for an ack before ``TimeoutError``.
         retries / retry_delay: reconnect schedule (exponential).
-        columnar: ship batches as columnar produce frames -- the rows
-            transposed into ``(trace_ids, wire_records)`` parallel
-            columns (one frame-level tuple per column instead of one
-            per row), feeding the server's zero-object ingest path.
-            Off by default: an *older* server rejects the four-element
-            frame, while a columnar-aware server accepts both shapes,
-            so turn this on once the whole deployment has upgraded.
 
     Use as a context manager; :meth:`close` flushes and waits for the
     final ack.
@@ -148,7 +141,6 @@ class ProducerClient:
         timeout: float = 30.0,
         retries: int = 5,
         retry_delay: float = 0.05,
-        columnar: bool = False,
     ) -> None:
         if batch < 1:
             raise ValueError("batch must be positive")
@@ -161,7 +153,6 @@ class ProducerClient:
         self._timeout = timeout
         self._retries = retries
         self._retry_delay = retry_delay
-        self._columnar = columnar
         self._rows: list[tuple[TraceId, tuple]] = []
         self._unacked: dict[int, tuple] = {}  # seq -> produce frame
         self._seq = 0
@@ -286,11 +277,7 @@ class ProducerClient:
             except (OSError, ProtocolError):
                 self._reconnect()
         self._seq += 1
-        if self._columnar:
-            trace_ids, wire_records = zip(*self._rows)
-            frame = ("produce", self._seq, (trace_ids, wire_records), "cols")
-        else:
-            frame = ("produce", self._seq, tuple(self._rows))
+        frame = ("produce", self._seq, tuple(self._rows))
         self._rows = []
         self._unacked[self._seq] = frame
         try:

@@ -52,7 +52,13 @@ from typing import Any, Callable, Iterable
 
 from repro.obs import metrics as _obs_metrics
 from repro.runtime import codec
-from repro.runtime.shard import TraceId, ratio_histogram, top_k_riskiest
+from repro.runtime.shard import (
+    TraceId,
+    merge_violations,
+    ratio_histogram,
+    top_k_riskiest,
+    violating_ids,
+)
 
 __all__ = ["DeltaStore", "DeltaView"]
 
@@ -304,15 +310,11 @@ class DeltaView:
         return top_k_riskiest(self.ratios.items(), k)
 
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
-        """All known violation rows in the deterministic merged order
-        (fronts stamp disjoint global ticks, so sorting merges their
-        interleaved feeds exactly as one fleet would have)."""
-        return tuple(sorted(self._rows, key=lambda n: (n[0], str(n[1]))))
+        """All known violation rows in the deterministic merged order."""
+        return merge_violations(self._rows)
 
     def violating_traces(self) -> tuple[TraceId, ...]:
-        return tuple(
-            dict.fromkeys(tid for _t, tid in self.violation_feed())
-        )
+        return violating_ids(self._rows)
 
     def metrics_rows(self) -> tuple[tuple, ...]:
         """The latest instrument readings carried by the stream,

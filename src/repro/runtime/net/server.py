@@ -57,11 +57,6 @@ frame                                        direction / meaning
 ``("welcome", ver, n_fronts, n_shards,      server reply: resume
 ``  ``acked, credit_window)``               point + credit window
 ``("produce", seq, rows)``                  numbered row batch
-``("produce", seq, cols, "cols")``          columnar batch: ``cols``
-                                            is ``(trace_ids,
-                                            wire_records)`` parallel
-                                            columns (old frames keep
-                                            decoding via ``*rest``)
 ``("ack", acked)``                          highest contiguous
                                             absorbed seq
 ``("bye",)``                                clean producer exit
@@ -110,9 +105,12 @@ from repro.runtime.parallel import ParallelFleet
 from repro.runtime.shard import (
     FleetReport,
     TraceId,
+    merge_violations,
     ratio_histogram,
     shard_index_of,
+    shard_totals,
     top_k_riskiest,
+    violating_ids,
 )
 
 __all__ = ["IngestServer"]
@@ -484,20 +482,6 @@ class IngestServer:
                 finally:
                     done()
                 self._stage_deltas(front)
-            elif kind == "cols":
-                _kind, trace_ids, records, done = item
-                try:
-                    fleet.ingest_wire_columns(trace_ids, records)
-                except Exception:  # keep the front alive; surface it
-                    front.error = traceback.format_exc()
-                    logger.error(
-                        "columnar ingest batch failed on front %d:\n%s",
-                        front.index,
-                        front.error,
-                    )
-                finally:
-                    done()
-                self._stage_deltas(front)
             elif kind == "call":
                 _kind, fn, box, event = item
                 try:
@@ -647,25 +631,15 @@ class IngestServer:
                         writer, ("error", f"unexpected {frame[0]!r}")
                     )
                     return
-                # Forward-compatible decode, as for the spec frames:
-                # old producers send ("produce", seq, rows); columnar
-                # producers append a "cols" marker and ship the rows as
-                # two parallel columns ``(trace_ids, wire_records)``.
+                # Forward-compatible decode, as for the spec frames: a
+                # trailing mode marker names the payload shape, and rows
+                # is the only one this server reads.
                 _kind, seq, rows, *rest = frame
                 mode = rest[0] if rest else "rows"
-                if mode not in ("rows", "cols"):
+                if mode != "rows":
                     await self._send(
                         writer,
                         ("error", f"unknown produce mode {mode!r}"),
-                    )
-                    return
-                if mode == "cols" and not (
-                    isinstance(rows, tuple)
-                    and len(rows) == 2
-                    and len(rows[0]) == len(rows[1])
-                ):
-                    await self._send(
-                        writer, ("error", "ragged columnar produce frame")
                     )
                     return
                 if seq <= producer.seen:
@@ -683,61 +657,36 @@ class IngestServer:
                 producer.seen = seq
                 obs = producer.obs
                 start = 0 if obs is None else time.perf_counter_ns()
-                self._dispatch(producer, seq, rows, mode)
+                self._dispatch(producer, seq, rows)
                 if obs is not None:
                     self._accept_ns.observe(
                         time.perf_counter_ns() - start
                     )
                     obs.frames.inc()
-                    obs.records.inc(
-                        len(rows[0]) if mode == "cols" else len(rows)
-                    )
+                    obs.records.inc(len(rows))
                     obs.credit.set(producer.seen - producer.acked)
         finally:
             if producer.writer is writer:
                 producer.writer = None
 
     def _dispatch(
-        self,
-        producer: _Producer,
-        seq: int,
-        rows: Iterable[tuple],
-        mode: str = "rows",
+        self, producer: _Producer, seq: int, rows: Iterable[tuple]
     ) -> None:
         """Route a produce frame's rows to their fronts (loop thread).
 
         The ack for ``seq`` is released only once every front involved
         has absorbed its slice; per-front FIFO queues preserve the
-        producer's per-trace row order.  Columnar frames
-        (``mode == "cols"``) route the same way -- per-trace front
-        assignment is row-shaped either way -- but each front's slice
-        stays a pair of parallel columns, feeding the fleet's columnar
-        ingest entry."""
+        producer's per-trace row order."""
         n_fronts, n_shards = len(self._fronts), self._n_shards
         self._inflight += 1
-        if mode == "cols":
-            trace_ids, records = rows
-            by_cols: dict[int, tuple[list, list]] = {}
-            for i, trace_id in enumerate(trace_ids):
-                front_index = shard_index_of(trace_id, n_shards) % n_fronts
-                slot = by_cols.get(front_index)
-                if slot is None:
-                    slot = by_cols[front_index] = ([], [])
-                slot[0].append(trace_id)
-                slot[1].append(records[i])
-            items = [
-                (index, ("cols", ids, recs))
-                for index, (ids, recs) in by_cols.items()
-            ]
-        else:
-            by_front: dict[int, list[tuple]] = {}
-            for row in rows:
-                front_index = shard_index_of(row[0], n_shards) % n_fronts
-                by_front.setdefault(front_index, []).append(row)
-            items = [
-                (index, ("rows", front_rows))
-                for index, front_rows in by_front.items()
-            ]
+        by_front: dict[int, list[tuple]] = {}
+        for row in rows:
+            front_index = shard_index_of(row[0], n_shards) % n_fronts
+            by_front.setdefault(front_index, []).append(row)
+        items = [
+            (index, ("rows", front_rows))
+            for index, front_rows in by_front.items()
+        ]
         if not items:  # an empty frame still advances the seq line
             self._complete(producer, seq)
             return
@@ -871,19 +820,15 @@ class IngestServer:
         return top_k_riskiest(self.all_ratios(), k)
 
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
-        """All fronts' violation rows in one deterministic merged order
-        (front ticks are disjoint, so a plain sort interleaves them
-        exactly as a single fleet would have stamped them)."""
+        """All fronts' violation rows in one deterministic merged order."""
         rows: list[tuple[int, TraceId]] = []
         for front in self._fronts:
             rows.extend(self._call(front, lambda fl: fl.violation_feed()))
-        return tuple(sorted(rows, key=lambda n: (n[0], str(n[1]))))
+        return merge_violations(rows)
 
     def violating_traces(self) -> tuple[TraceId, ...]:
         self.flush()
-        return tuple(
-            dict.fromkeys(tid for _t, tid in self.violation_feed())
-        )
+        return violating_ids(self.violation_feed())
 
     def report(self) -> FleetReport:
         """One merged :class:`FleetReport` across every front (sync
@@ -897,9 +842,6 @@ class IngestServer:
         shards = sorted(
             (s for r in reports for s in r.shards), key=lambda s: s.shard
         )
-        violating = tuple(
-            dict.fromkeys(tid for _t, tid in self.violation_feed())
-        )
         first = reports[0]
         return FleetReport(
             xi=first.xi,
@@ -911,23 +853,13 @@ class IngestServer:
             or None,
             open_traces=sum(r.open_traces for r in reports),
             retired_traces=sum(r.retired_traces for r in reports),
-            records=sum(r.records for r in reports),
-            flushes=sum(r.flushes for r in reports),
-            oracle_calls=sum(r.oracle_calls for r in reports),
             live_events=sum(r.live_events for r in reports),
             peak_live_events=sum(r.peak_live_events for r in reports),
-            tombstoned_events=sum(r.tombstoned_events for r in reports),
-            evictions=sum(r.evictions for r in reports),
-            summary_compactions=sum(
-                r.summary_compactions for r in reports
-            ),
-            summary_edges=sum(r.summary_edges for r in reports),
-            auto_retired=sum(r.auto_retired for r in reports),
             budget_overruns=sum(r.budget_overruns for r in reports),
             degraded_traces=sum(r.degraded_traces for r in reports),
-            violating_traces=violating,
+            violating_traces=violating_ids(self.violation_feed()),
             shards=tuple(shards),
-            auto_compactions=sum(r.auto_compactions for r in reports),
+            **shard_totals(shards),
             crashed_shards=tuple(
                 s for r in reports for s in r.crashed_shards
             ),

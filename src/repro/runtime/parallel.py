@@ -147,9 +147,12 @@ from repro.runtime.shard import (
     ShardStats,
     TraceId,
     TraceSummary,
+    merge_violations,
     ratio_histogram,
     shard_index_of as _shard_index,
+    shard_totals,
     top_k_riskiest,
+    violating_ids,
 )
 from repro.sim.trace import ReceiveRecord
 
@@ -1059,17 +1062,10 @@ class ParallelFleet:
         trace_ids: Sequence[TraceId],
         wire_records: Sequence[tuple],
     ) -> None:
-        """Columnar :meth:`ingest_wire_many`: two parallel columns, as
-        carried by the columnar produce frame of the network plane.
-
-        Routing and per-shard buffering are inherently row-oriented
-        (each record joins its shard's ``(tick, trace_id, wire)``
-        batch), so the columns are re-paired with one C-speed ``zip``;
-        the zero-object payoff happens on the worker side, where the
-        shard batch is transposed back into columns and absorbed
-        without building a single record.  A ragged frame (column
-        lengths disagree) raises ``ValueError`` here, before any row
-        is buffered.
+        """Columnar :meth:`ingest_wire_many`: the same rows as two
+        parallel columns, re-paired with one C-speed ``zip``.  A ragged
+        frame (column lengths disagree) raises ``ValueError`` here,
+        before any row is buffered.
         """
         if len(trace_ids) != len(wire_records):
             raise ValueError(
@@ -1640,13 +1636,7 @@ class ParallelFleet:
         (ascending trigger tick, trace id as tie-break)."""
         self._require_running()
         self._barrier("flush")
-        return self._violating_ids()
-
-    def _violating_ids(self) -> tuple[TraceId, ...]:
-        ordered = sorted(
-            self._fired_notices, key=lambda n: (n[0], str(n[1]))
-        )
-        return tuple(dict.fromkeys(trace_id for _t, trace_id in ordered))
+        return violating_ids(self._fired_notices)
 
     # ------------------------------------------------------------------
     # the push-based delta surface (see repro.runtime.net.deltas)
@@ -1682,9 +1672,7 @@ class ParallelFleet:
         can diff it incrementally without collapsing wire batching."""
         rows = list(self._fired_notices)
         rows.extend((t, tid) for t, tid, _w in self._pending_notices)
-        return tuple(
-            dict.fromkeys(sorted(rows, key=lambda n: (n[0], str(n[1]))))
-        )
+        return merge_violations(rows)
 
     def report(self) -> FleetReport:
         """A merged :class:`FleetReport` (a sync barrier).
@@ -1714,21 +1702,13 @@ class ParallelFleet:
             event_budget=self.event_budget,
             open_traces=open_traces,
             retired_traces=retired,
-            records=sum(s.records for s in stats),
-            flushes=sum(s.flushes for s in stats),
-            oracle_calls=sum(s.oracle_calls for s in stats),
             live_events=sum(s.live_events for s in stats),
             peak_live_events=self._peak,
-            tombstoned_events=sum(s.tombstoned_events for s in stats),
-            evictions=sum(s.evictions for s in stats),
-            summary_compactions=sum(s.summary_compactions for s in stats),
-            summary_edges=sum(s.summary_edges for s in stats),
-            auto_retired=sum(s.auto_retired for s in stats),
             budget_overruns=overruns,
             degraded_traces=degraded,
-            violating_traces=self._violating_ids(),
+            violating_traces=violating_ids(self._fired_notices),
             shards=tuple(stats),
-            auto_compactions=sum(s.auto_compactions for s in stats),
+            **shard_totals(stats),
             crashed_shards=self.crashed_shards(),
         )
 

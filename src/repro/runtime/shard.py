@@ -67,9 +67,12 @@ __all__ = [
     "TraceId",
     "TraceState",
     "TraceSummary",
+    "merge_violations",
     "ratio_histogram",
     "shard_index_of",
+    "shard_totals",
     "top_k_riskiest",
+    "violating_ids",
 ]
 
 TraceId = str | int
@@ -100,6 +103,23 @@ def top_k_riskiest(
         reverse=True,
     )
     return items[:k]
+
+
+def merge_violations(
+    rows: Iterable[tuple[int, TraceId]],
+) -> tuple[tuple[int, TraceId], ...]:
+    """``(tick, trace_id)`` violation rows in the one deterministic
+    merge order every multi-worker front end reports: ascending trigger
+    tick, trace id string as tie-break, duplicates dropped.  Workers and
+    fronts stamp disjoint ticks, so sorting interleaves their feeds
+    exactly as a single fleet would have stamped them."""
+    return tuple(dict.fromkeys(sorted(rows, key=lambda n: (n[0], str(n[1])))))
+
+
+def violating_ids(rows: Iterable[tuple[int, TraceId]]) -> tuple[TraceId, ...]:
+    """The violating trace ids of ``rows``, first occurrence in
+    :func:`merge_violations` order."""
+    return tuple(dict.fromkeys(tid for _t, tid in merge_violations(rows)))
 
 
 def shard_index_of(trace_id: TraceId, n_shards: int) -> int:
@@ -201,6 +221,30 @@ class ShardStats:
     auto_compactions: int = 0
 
 
+_SUMMED_FIELDS = (
+    "records",
+    "flushes",
+    "oracle_calls",
+    "tombstoned_events",
+    "evictions",
+    "summary_compactions",
+    "summary_edges",
+    "auto_retired",
+    "auto_compactions",
+)
+
+
+def shard_totals(stats: Iterable[ShardStats]) -> dict[str, int]:
+    """The fleet-wide work counters of a :class:`FleetReport`, summed
+    over per-shard rows and keyed by their report field names (pass as
+    ``FleetReport(..., **shard_totals(stats))``).  The one place every
+    fleet front end derives them, so the sums cannot drift apart."""
+    stats = list(stats)
+    return {
+        name: sum(getattr(s, name) for s in stats) for name in _SUMMED_FIELDS
+    }
+
+
 @dataclass(frozen=True)
 class FleetReport:
     """Point-in-time snapshot of a whole fleet (all pending flushed).
@@ -277,8 +321,6 @@ class TraceState:
     __slots__ = (
         "monitor",
         "pending",
-        "in_flight",
-        "frontier",
         "n_records",
         "last_touch",
         "live_cached",
@@ -289,11 +331,6 @@ class TraceState:
     def __init__(self, monitor: OnlineAbcMonitor, reopened: bool) -> None:
         self.monitor = monitor
         self.pending: list[ReceiveRecord] = []
-        # (send event, destination process) -> messages announced by a
-        # record's ``sends`` but not yet observed arriving.  Positive
-        # entries pin their send event against eviction.
-        self.in_flight: Counter[tuple[Event, ProcessId]] = Counter()
-        self.frontier: dict[ProcessId, int] = {}
         self.n_records = 0
         self.last_touch = 0
         self.live_cached = 0
@@ -308,16 +345,6 @@ class TraceState:
     @property
     def degraded(self) -> bool:
         return self.reopened or self.monitor.forgotten_message_edges > 0
-
-    def pinned_events(self) -> list[Event]:
-        """Events eviction must keep live: each process's frontier (its
-        next local edge attaches there) and every send event with a
-        message still in flight (its message edge is still to come)."""
-        pinned = [
-            Event(process, index) for process, index in self.frontier.items()
-        ]
-        pinned.extend(key[0] for key, n in self.in_flight.items() if n > 0)
-        return pinned
 
 
 class FleetShard:
@@ -852,9 +879,9 @@ class ShardGroup:
         receive record; each row is copied (:meth:`~repro.sim.trace.RecordColumns.append_from`,
         plain column stores) onto its trace's columnar pending builder,
         and watermark-crossing traces flush once per batch exactly as
-        in :meth:`ingest_batch`.  Flushing a columnar buffer takes the
-        zero-object path (:meth:`_flush_columns`) for healthy traces
-        and falls back to materialized records for reopened or
+        in :meth:`ingest_batch`.  :meth:`flush_state` absorbs a columnar
+        buffer through the zero-object path for healthy traces and
+        falls back to materialized records for reopened or
         degraded ones, so everything observable -- ratios, flags,
         violation order, flush cadence, counters -- is bit-identical
         to object-path ingestion of the same rows.
@@ -993,41 +1020,33 @@ class ShardGroup:
     # ------------------------------------------------------------------
 
     def flush_state(self, shard: FleetShard, state: TraceState) -> None:
-        if not state.pending:
-            return
         batch = state.pending
+        if not batch:
+            return
         state.pending = []
-        if type(batch) is not list:
-            if state.reopened or state.monitor.forgotten_message_edges:
-                # The gap-fill path needs record objects, and degraded
-                # streams (an unsafe cut already happened) stay on the
-                # reference path wholesale -- rare by construction, and
-                # it keeps the columnar fast path free of the two
-                # hairiest regimes.
-                batch = batch.to_records()
-            else:
-                self._flush_columns(shard, state, batch)
-                return
-        if state.reopened:
-            self._fill_gaps(state.monitor, batch)
-        for record in batch:
-            state.frontier[record.event.process] = record.event.index
-            if record.sender is not None and record.send_event is not None:
-                key = (record.send_event, record.event.process)
-                if state.in_flight.get(key, 0) > 0:
-                    state.in_flight[key] -= 1
-                    if state.in_flight[key] == 0:
-                        del state.in_flight[key]
-            for send in record.sends:
-                state.in_flight[(record.event, send.dest)] += 1
-        state.monitor.observe_batch(batch)
+        monitor = state.monitor
+        if type(batch) is not list and (
+            state.reopened or monitor.forgotten_message_edges
+        ):
+            # The gap-fill path needs record objects, and degraded
+            # streams (an unsafe cut already happened) stay on the
+            # reference path wholesale -- rare by construction, and it
+            # keeps the columnar fast path free of the two hairiest
+            # regimes.
+            batch = batch.to_records()
+        if type(batch) is list:
+            if state.reopened:
+                self._fill_gaps(monitor, batch)
+            monitor.observe_batch(batch)
+        else:
+            monitor.observe_batch_columnar(batch)
         state.n_records += len(batch)
         shard.flushes += 1
         if self._obs is not None:
             self._obs.flushes.inc()
             self._obs.batch_records.observe(len(batch))
-        self._live_events += state.monitor.n_events - state.live_cached
-        state.live_cached = state.monitor.n_events
+        self._live_events += monitor.n_events - state.live_cached
+        state.live_cached = monitor.n_events
         # Absorbing records invalidates every "retrying is futile" memo:
         # pins and settledness moved, and comparing raw live-event
         # *counts* alone can collide (absorb N, evict N elsewhere lands
@@ -1036,61 +1055,6 @@ class ShardGroup:
         self._futile_at = None
         # Bookkeeping is consistent from here on: violation callbacks
         # recorded by the batch may now re-enter the group.
-        self._fire_deferred_violations()
-
-    def _flush_columns(
-        self, shard: FleetShard, state: TraceState, cols: RecordColumns
-    ) -> None:
-        """The columnar half of :meth:`flush_state`: one pass over the
-        columns replicates the per-record frontier / in-flight
-        bookkeeping (``Event`` keys fast-constructed from the columns,
-        so they compare equal to the object path's keys), then the
-        monitor absorbs the batch through
-        :meth:`~repro.analysis.online.OnlineAbcMonitor.observe_batch_columnar`.
-        Counters and memo invalidation mirror the object path line for
-        line -- :meth:`flush_state` already routed reopened and
-        degraded traces away from here.
-        """
-        frontier = state.frontier
-        in_flight = state.in_flight
-        processes = cols.processes
-        indexes = cols.indexes
-        senders = cols.senders
-        send_processes = cols.send_processes
-        send_indexes = cols.send_indexes
-        sends = cols.sends
-        new_event = Event.__new__
-        for k in range(len(processes)):
-            p = processes[k]
-            frontier[p] = indexes[k]
-            sp = send_processes[k]
-            if senders[k] is not None and sp is not None:
-                src = new_event(Event)
-                src.__dict__["process"] = sp
-                src.__dict__["index"] = send_indexes[k]
-                key = (src, p)
-                if in_flight.get(key, 0) > 0:
-                    in_flight[key] -= 1
-                    if in_flight[key] == 0:
-                        del in_flight[key]
-            rows = sends[k]
-            if rows:
-                event = new_event(Event)
-                event.__dict__["process"] = p
-                event.__dict__["index"] = indexes[k]
-                for row in rows:
-                    in_flight[(event, row[0])] += 1
-        state.monitor.observe_batch_columnar(cols)
-        state.n_records += len(cols)
-        shard.flushes += 1
-        if self._obs is not None:
-            self._obs.flushes.inc()
-            self._obs.batch_records.observe(len(cols))
-        self._live_events += state.monitor.n_events - state.live_cached
-        state.live_cached = state.monitor.n_events
-        # Same memo invalidation as the object path (see flush_state).
-        state.evict_marker = None
-        self._futile_at = None
         self._fire_deferred_violations()
 
     @staticmethod
@@ -1204,7 +1168,7 @@ class ShardGroup:
                 # the fleet sits over budget.
                 if state.monitor.n_events == state.evict_marker:
                     continue  # unchanged since a known-futile attempt
-                pinned = state.pinned_events()
+                pinned = state.monitor.pinned_events()
                 settled = state.monitor.settled_prefix(pinned)
                 removed = (
                     state.monitor.forget_prefix(settled) if settled else 0
@@ -1267,9 +1231,9 @@ class ShardGroup:
     def export_trace(self, trace_id: TraceId) -> tuple:
         """Detach one open trace and return it as a codec frame.
 
-        The frame carries the monitor (callbacks stripped), the unflushed
-        pending buffer, the in-flight/frontier bookkeeping, and -- when
-        the id was retired before re-opening -- its prior summary, so the
+        The frame carries the monitor (callbacks stripped, in-flight
+        ledger included), the unflushed pending buffer, and -- when the
+        id was retired before re-opening -- its prior summary, so the
         max-merge semantics of :meth:`close` survive the move.  The trace
         leaves this group entirely: another group may :meth:`import_trace`
         it, and the pair is a migration.  Raises ``KeyError`` for ids this

@@ -120,6 +120,12 @@ class TestMonitor:
             "repro_stage_ns", (("stage", "kernel_sweep"),)
         )
         assert sweep.count > 0
+        # Each refresh is timed once, as the kernel_sweep stage: no
+        # second monitor-level latency histogram shadows it.
+        assert not any(
+            name.startswith("repro_monitor_") and name.endswith("_ns")
+            for name in registry.to_json()
+        )
 
     def test_pickle_strips_instruments_and_restores_working(self, enabled):
         records = trace_records()

@@ -547,71 +547,16 @@ class TestMixedKernelFronts:
             assert set(server.violating_traces()) == violating
 
 
-class TestColumnarWire:
-    """Mixed-version wire compatibility for columnar produce frames."""
+class TestProduceModes:
+    """The server reads exactly one produce frame shape: rows."""
 
-    def test_mixed_producers_match_serial(self):
-        """Old-style row producers and columnar producers interleaving
-        on the same server must agree with the serial fleet -- the
-        frame shape is transport, not semantics."""
-        stream = workload(seed=21, n_traces=18)
-        ratios, degraded, violating = serial_answers(stream)
-        ids = sorted(ratios, key=str)
-        owner = {tid: i % 3 for i, tid in enumerate(ids)}
-        with IngestServer(
-            XI, n_fronts=2, n_shards=8, batch_size=16, backend="thread"
-        ) as server:
-            clients = [
-                ProducerClient(
-                    server.address,
-                    producer_id=f"p{i}",
-                    batch=7,
-                    columnar=(i % 2 == 0),  # p0, p2 columnar; p1 rows
-                )
-                for i in range(3)
-            ]
-            try:
-                for tid, rec in stream:
-                    clients[owner[tid]].send(tid, rec)
-            finally:
-                for client in clients:
-                    client.close()
-            server.flush()
-            assert {
-                tid: server.worst_ratio(tid) for tid in ids
-            } == ratios
-            assert {
-                tid: server.is_degraded(tid) for tid in ids
-            } == degraded
-            assert set(server.violating_traces()) == violating
-            assert server.ingested_records == len(stream)
-            assert server.front_errors() == ()
-
-    def test_ragged_columnar_frame_rejected(self):
-        """A columnar frame whose id and record columns disagree in
-        length must draw an error frame, not desynchronize a front."""
-        record = workload(seed=1, n_traces=1)[0][1]
-        with IngestServer(
-            XI, n_fronts=1, n_shards=8, backend="thread"
-        ) as server:
-            sock = socket.create_connection(server.address, timeout=10)
-            fs = FrameSocket(sock)
-            fs.send(("hello", PROTOCOL_VERSION, "produce", "evil"))
-            assert fs.recv()[0] == "welcome"
-            fs.send(
-                (
-                    "produce",
-                    1,
-                    (("t1", "t2"), (codec.encode_record(record),)),
-                    "cols",
-                )
-            )
-            kind, message = fs.recv()
-            assert kind == "error" and "ragged" in message
-            fs.close()
-
-    def test_unknown_produce_mode_rejected(self):
-        record = workload(seed=1, n_traces=1)[0][1]
+    @pytest.mark.parametrize("mode", ["zst", "cols"])
+    def test_unknown_produce_mode_rejected(self, mode):
+        """A mode marker other than ``"rows"`` draws an error frame,
+        not a desynchronized front -- the columnar ``"cols"`` shape
+        included."""
+        wire = codec.encode_record(workload(seed=1, n_traces=1)[0][1])
+        payload = (("t1",), (wire,)) if mode == "cols" else [("t1", wire)]
         with IngestServer(
             XI, n_fronts=1, n_shards=8, backend="thread"
         ) as server:
@@ -619,9 +564,9 @@ class TestColumnarWire:
             fs = FrameSocket(sock)
             fs.send(("hello", PROTOCOL_VERSION, "produce", "odd"))
             assert fs.recv()[0] == "welcome"
-            fs.send(
-                ("produce", 1, [("t1", codec.encode_record(record))], "zst")
-            )
+            fs.send(("produce", 1, payload, mode))
             kind, message = fs.recv()
-            assert kind == "error" and "mode" in message
+            assert kind == "error"
+            assert message == f"unknown produce mode {mode!r}"
             fs.close()
+            assert server.ingested_records == 0

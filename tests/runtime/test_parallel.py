@@ -160,15 +160,26 @@ class TestDifferential:
 
 class TestBudget:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_budget_respected_with_exact_ratios(self, backend):
+    @pytest.mark.parametrize(
+        "weights",
+        [{"burst": 0.6, "idler": 0.4}, {"relay": 1.0}],
+        ids=["burst-idler", "relay"],
+    )
+    def test_budget_respected_with_exact_ratios(self, backend, weights):
+        """Eviction pins come from each monitor's own in-flight ledger
+        (no compaction threshold anywhere): the relay input keeps long
+        causal chains with sends in flight across every cut, and must
+        still match an unbudgeted serial fleet exactly."""
         stream = list(
             concurrent_workload(
                 random.Random(9),
                 n_traces=12,
                 records_per_trace=(30, 60),
-                profile_weights={"burst": 0.6, "idler": 0.4},
+                profile_weights=weights,
             )
         )
+        serial = MonitorFleet(n_shards=8, batch_size=8)
+        serial.ingest_many(stream)
         budget = 240
         with ParallelFleet(
             n_shards=8,
@@ -187,6 +198,9 @@ class TestBudget:
             for trace_id, records in by_trace(stream).items():
                 assert fleet.worst_ratio(trace_id) == standalone_ratio(
                     records
+                )
+                assert fleet.worst_ratio(trace_id) == serial.worst_ratio(
+                    trace_id
                 )
                 assert not fleet.is_degraded(trace_id)
 
@@ -729,7 +743,7 @@ class TestMixedKernelMatrix:
     is invisible to every answer; here that is exercised where it is
     easiest to lose -- across the wire codec, process boundaries,
     snapshots, SIGKILL recovery, and per-trace spec overrides -- by
-    racing ``flat_int`` (and ``vector``) fleets against the
+    racing ``flat_int`` fleets against the
     ``py_object`` serial reference.
     """
 
