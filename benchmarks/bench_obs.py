@@ -52,7 +52,6 @@ DEFAULT_GATE_EVENTS = 150
 DEFAULT_TRACES = 10
 DEFAULT_REPS = 3
 DEFAULT_BATCH = 64
-DEFAULT_KERNEL = "flat_int"
 DEFAULT_MAX_OVERHEAD = 0.02
 HOOK_ITERS = 200_000
 # Disabled hooks actually riding the per-record ingest path, counted
@@ -100,7 +99,7 @@ def hook_cost_ns(iters: int = HOOK_ITERS, reps: int = 5) -> float:
 
 
 def ingest_span_ns(
-    gate_traces: int, gate_events: int, reps: int, batch: int, kernel: str
+    gate_traces: int, gate_events: int, reps: int, batch: int
 ) -> tuple[float, int]:
     """Per-record time of bench_e2e's columnar wire-to-kernel ingest
     span (min over reps), the denominator of the overhead ratio."""
@@ -108,20 +107,16 @@ def ingest_span_ns(
     n_records = sum(len(w) for w in wires)
     best = float("inf")
     for _rep in range(reps):
-        elapsed, _stats = bench_e2e.ingest_columnar(
-            wires, batch, frozenset(), kernel
-        )
+        elapsed, _stats = bench_e2e.ingest_columnar(wires, batch, frozenset())
         best = min(best, elapsed)
     return best * 1e9 / n_records, n_records
 
 
 def disabled_overhead(
-    gate_traces: int, gate_events: int, reps: int, batch: int, kernel: str
+    gate_traces: int, gate_events: int, reps: int, batch: int
 ) -> dict:
     hook_ns = hook_cost_ns()
-    span_ns, n_records = ingest_span_ns(
-        gate_traces, gate_events, reps, batch, kernel
-    )
+    span_ns, n_records = ingest_span_ns(gate_traces, gate_events, reps, batch)
     ratio = (hook_ns * HOOKS_PER_RECORD) / span_ns if span_ns else 0.0
     return {
         "hook_ns": round(hook_ns, 3),
@@ -236,14 +231,11 @@ def run(
     gate_events: int,
     reps: int,
     batch: int,
-    kernel: str,
     n_traces: int,
 ) -> dict:
     stream = workload(n_traces)
 
-    overhead = disabled_overhead(
-        gate_traces, gate_events, reps, batch, kernel
-    )
+    overhead = disabled_overhead(gate_traces, gate_events, reps, batch)
 
     # Deterministic merge: process vs thread, clean and crashed.
     clean = {
@@ -310,10 +302,6 @@ def main(argv=None) -> int:
         help="records per wire batch in the ingest span",
     )
     parser.add_argument(
-        "--kernel", default=DEFAULT_KERNEL,
-        help="detection kernel for the ingest span",
-    )
-    parser.add_argument(
         "--traces", type=int, default=DEFAULT_TRACES,
         help="traces in the determinism/transparency fleet workload",
     )
@@ -335,7 +323,6 @@ def main(argv=None) -> int:
         args.gate_events,
         args.reps,
         args.batch,
-        args.kernel,
         args.traces,
     )
     over = result["overhead"]

@@ -88,11 +88,10 @@ from repro.runtime.shard import (
     ShardGroup,
     ShardStats,
     TraceId,
+    RatioQueries,
     TraceSummary,
-    ratio_histogram,
     shard_index_of as _shard_index,
     shard_totals,
-    top_k_riskiest,
 )
 from repro.sim.trace import ReceiveRecord
 
@@ -112,7 +111,7 @@ _SNAPSHOT_MAGIC = "abc-fleet-snapshot"
 _SNAPSHOT_VERSION = 1
 
 
-class MonitorFleet:
+class MonitorFleet(RatioQueries):
     """N concurrent online ABC monitors behind one ingestion API.
 
     This is the *serial* front end over the share-nothing shard engine
@@ -151,10 +150,6 @@ class MonitorFleet:
         faulty: processes whose sent messages are dropped, applied to
             every trace (as in :class:`~repro.analysis.online.OnlineAbcMonitor`).
         drop_faulty: disable the faulty-sender filter when ``False``.
-        kernel: detection-kernel name for every default-constructed
-            monitor (``None`` follows the ambient ``REPRO_KERNEL``
-            environment; per-trace specs may override).  Every kernel
-            is exact -- a speed knob, never an answer change.
         monitor_factory: optional ``factory(trace_id) -> OnlineAbcMonitor``
             for per-trace monitor customization; the fleet chains its
             own violation bookkeeping onto the returned monitor's
@@ -187,7 +182,6 @@ class MonitorFleet:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        kernel: str | None = None,
         monitor_factory: Callable[[TraceId], OnlineAbcMonitor] | None = None,
         monitor_specs: MonitorSpec | dict[TraceId, MonitorSpec] | None = None,
         on_violation: Callable[[TraceId, CycleClassification], None] | None = None,
@@ -218,7 +212,6 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=faulty,
             drop_faulty=drop_faulty,
-            kernel=kernel,
             monitor_factory=monitor_factory,
             monitor_specs=monitor_specs,
             emit_violation=self._emit_violation,
@@ -298,20 +291,6 @@ class MonitorFleet:
     @drop_faulty.setter
     def drop_faulty(self, value: bool) -> None:
         self._group.drop_faulty = value
-
-    @property
-    def kernel(self) -> str | None:
-        """Detection-kernel name for monitors this fleet creates from
-        here on (existing monitors keep their kernel until restored)."""
-        return self._group.kernel
-
-    @kernel.setter
-    def kernel(self, value: str | None) -> None:
-        if value is not None:
-            from repro.core.kernel import resolve_kernel_name
-
-            resolve_kernel_name(value)
-        self._group.kernel = value
 
     @property
     def peak_live_events(self) -> int:
@@ -490,7 +469,6 @@ class MonitorFleet:
             tuple(group.faulty),
             group.drop_faulty,
             codec.encode_specs(group.monitor_specs),
-            group.kernel,
         )
         frame = (
             _SNAPSHOT_MAGIC,
@@ -539,8 +517,9 @@ class MonitorFleet:
             )
         from repro.runtime import codec
 
-        # Pre-kernel frames are 9-tuples; tolerate them (their monitors
-        # then follow the restoring process's ambient kernel).
+        # Frames written while the kernel was selectable carry a tenth
+        # slot naming it; every kernel answered identically, so it is
+        # ignored.
         (
             xi_wire,
             n_shards,
@@ -551,7 +530,7 @@ class MonitorFleet:
             faulty,
             drop_faulty,
             specs_wire,
-            *rest,
+            *_rest,
         ) = config
         fleet = cls(
             codec.decode_fraction(xi_wire),
@@ -562,7 +541,6 @@ class MonitorFleet:
             compact_threshold=compact_threshold,
             faulty=frozenset(faulty),
             drop_faulty=drop_faulty,
-            kernel=rest[0] if rest else None,
             monitor_factory=monitor_factory,
             monitor_specs=codec.decode_specs(specs_wire),
             on_violation=on_violation,
@@ -614,29 +592,17 @@ class MonitorFleet:
         """Number of distinct traces ever seen (open + retired)."""
         return self.open_traces + self.retired_traces
 
-    def worst_ratio_histogram(self) -> dict[Fraction | None, int]:
-        """Exact population histogram: how many traces sit at each worst
-        relevant ratio (``None`` = no relevant cycle).  Ratios are exact
-        rationals, so the histogram needs no binning; bucket the keys
-        with ``float()`` for plotting."""
-        return ratio_histogram(self._group.all_ratios())
+    def all_ratios(self) -> list[tuple[TraceId, Fraction | None]]:
+        """(trace id, worst ratio) for every trace, open or retired
+        (pending records flushed first); a re-opened trace is listed
+        once, with its retired maximum merged in."""
+        return self._group.all_ratios()
 
     def violating_traces(self) -> tuple[TraceId, ...]:
         """Ids of traces whose worst ratio reached the monitored ``xi``,
         in first-detection order."""
         self.flush()
         return self._group.violating_ids()
-
-    def top_k_riskiest(
-        self, k: int
-    ) -> list[tuple[TraceId, Fraction | None]]:
-        """The ``k`` traces with the highest worst ratio, descending
-        (ties broken by trace id; traces with no relevant cycle last).
-
-        The closer a trace's ratio is to the deployment's ``Xi``, the
-        less asynchrony headroom it has left -- this is the fleet-level
-        watchlist."""
-        return top_k_riskiest(self._group.all_ratios(), k)
 
     def report(self) -> FleetReport:
         """A :class:`FleetReport` snapshot (pending records flushed)."""

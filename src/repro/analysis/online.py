@@ -91,8 +91,7 @@ class MonitorObs:
     """The monitor's instrument bundle on some registry.
 
     Oracle-call and compaction counters are *deterministic*: both are
-    functions of the observed record stream (the kernel conformance
-    gate already asserts oracle-call counts bit-identical), so they
+    functions of the observed record stream, so they
     merge identically across process and thread backends.  Refresh
     latency is wall clock and is not; it is recorded as the
     ``kernel_sweep`` lifecycle stage.
@@ -176,10 +175,6 @@ class OnlineAbcMonitor:
             complete sends metadata keep the monitor exact under this
             mode (as with fleet eviction, an unannounced in-flight send
             degrades the ratio to a counted lower bound).
-        kernel: optional detection-kernel name for the underlying
-            :class:`~repro.core.synchrony.AdmissibilityChecker`
-            (``None`` follows the ambient ``REPRO_KERNEL`` environment);
-            every kernel is exact, so this is purely a speed knob.
     """
 
     def __init__(
@@ -191,7 +186,6 @@ class OnlineAbcMonitor:
         on_violation: Callable[[CycleClassification], None] | None = None,
         on_ratio_increase: Callable[[RatioChange], None] | None = None,
         compact_threshold: float | None = None,
-        kernel: str | None = None,
     ) -> None:
         if compact_threshold is not None and compact_threshold <= 1:
             raise ValueError(
@@ -213,8 +207,7 @@ class OnlineAbcMonitor:
         # by a record's ``sends`` but not yet observed arriving; every
         # key pins its send event (see ``pinned_events``).
         self._in_flight: dict[tuple[ProcessId, int, ProcessId], int] = {}
-        self.kernel = kernel
-        self._checker = AdmissibilityChecker(kernel=kernel)
+        self._checker = AdmissibilityChecker()
         self._worst: Fraction | None = None
         # Telemetry handle: ``None`` when disabled (one attribute read
         # per refresh, the emit_ratio contract).  Standalone monitors
@@ -236,6 +229,12 @@ class OnlineAbcMonitor:
         state = self.__dict__.copy()
         state["_obs"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Blobs written while the kernel was selectable carry the
+        # monitor's kernel choice; every kernel answered identically.
+        state.pop("kernel", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # state
@@ -261,17 +260,6 @@ class OnlineAbcMonitor:
     def oracle_calls(self) -> int:
         """Total negative-cycle runs issued (incrementality metric)."""
         return self._checker.oracle_calls
-
-    @property
-    def kernel_name(self) -> str:
-        """The detection kernel the monitor's checker resolves to."""
-        return self._checker.kernel_name
-
-    def set_kernel(self, kernel: str | None) -> None:
-        """Re-pin the detection kernel (see
-        :meth:`~repro.core.synchrony.AdmissibilityChecker.set_kernel`)."""
-        self.kernel = kernel
-        self._checker.set_kernel(kernel)
 
     @property
     def summary_edges(self) -> int:
@@ -476,7 +464,7 @@ class OnlineAbcMonitor:
         search; correct on any sequence of graphs, fast on growing ones.
         """
         if not self._checker.extends(graph):
-            self._checker = AdmissibilityChecker(graph, kernel=self.kernel)
+            self._checker = AdmissibilityChecker(graph)
             self._worst = None
             self.violation = None
             self.changes = []

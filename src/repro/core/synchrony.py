@@ -126,9 +126,8 @@ from repro.core.execution_graph import (
     MessageEdge,
 )
 from repro.core.kernel import (
-    Kernel,
+    PyObjectKernel,
     find_negative_cycle_edges,
-    make_kernel,
     resolve_kernel_name,
 )
 from repro.core import kernel as _kernel_mod
@@ -269,8 +268,8 @@ def farey_predecessor(value: Fraction, max_den: int) -> Fraction:
 
 # Edge kinds of the traversal digraph; weights per (p, q) query are
 # derived from the kind, so only these tags are stored per edge.  The
-# canonical definitions live in :mod:`repro.core.kernel` (the kernels
-# read them without importing this module); these aliases keep the
+# canonical definitions live in :mod:`repro.core.kernel` (the kernel
+# reads them without importing this module); these aliases keep the
 # checker's internals spelled the way they always were.
 _FWD_MESSAGE = _kernel_mod.FWD_MESSAGE
 _BWD_MESSAGE = _kernel_mod.BWD_MESSAGE
@@ -389,31 +388,19 @@ class AdmissibilityChecker:
     trace or an :class:`~repro.core.execution_graph.ExecutionGraph`
     satisfy it by construction.
 
-    Negative-cycle detection itself is delegated to a pluggable *kernel*
-    (see :mod:`repro.core.kernel`): ``kernel=None`` follows the ambient
-    ``REPRO_KERNEL`` environment variable (default ``py_object``, the
-    reference SPFA), an explicit name pins one.  Every kernel is exact
-    and bit-identical on every query surface; the choice is purely a
-    speed/bookkeeping trade-off.  The kernel object itself is transient
-    state -- it is dropped on pickling and lazily re-created, so
-    snapshots restore under whatever kernel the restoring process
-    selects (kernel-portable checkpoints).
+    Negative-cycle detection itself is delegated to the SPFA kernel of
+    :mod:`repro.core.kernel`.  The kernel object is transient state: it
+    is dropped on pickling and re-created on load, so snapshots carry
+    only the digraph.
 
     Attributes:
         oracle_calls: number of negative-cycle runs issued so far (for
             benchmarks and incrementality tests).
     """
 
-    def __init__(
-        self,
-        graph: ExecutionGraph | None = None,
-        *,
-        kernel: str | None = None,
-    ) -> None:
-        if kernel is not None:
-            resolve_kernel_name(kernel)  # fail fast on unknown names
-        self._kernel_spec = kernel
-        self._kernel_obj: Kernel | None = None
+    def __init__(self, graph: ExecutionGraph | None = None) -> None:
+        resolve_kernel_name()  # a stale REPRO_KERNEL fails here, loudly
+        self._kernel = PyObjectKernel(self)
         self._nodes: list[Event] = []
         self._index: dict[Event, int] = {}
         self._events_per_process: dict[ProcessId, int] = {}
@@ -451,44 +438,19 @@ class AdmissibilityChecker:
             for message in graph.messages:
                 self.add_message(message.src, message.dst)
 
-    # ------------------------------------------------------------------
-    # kernel selection
-    # ------------------------------------------------------------------
-
-    @property
-    def _kernel(self) -> Kernel:
-        """The bound detection kernel, created lazily (and re-created
-        lazily after unpickling or :meth:`set_kernel`)."""
-        obj = self._kernel_obj
-        if obj is None:
-            obj = self._kernel_obj = make_kernel(self._kernel_spec, self)
-        return obj
-
-    @property
-    def kernel_name(self) -> str:
-        """The kernel this checker resolves to right now (an unpinned
-        checker follows the ``REPRO_KERNEL`` environment variable)."""
-        if self._kernel_obj is not None:
-            return self._kernel_obj.name
-        return resolve_kernel_name(self._kernel_spec)
-
-    def set_kernel(self, kernel: str | None) -> None:
-        """Re-pin the detection kernel (``None`` = follow the ambient
-        environment); any cached kernel state is discarded.  Purely a
-        strategy switch -- every subsequent answer is bit-identical to
-        what any other kernel would produce."""
-        if kernel is not None:
-            resolve_kernel_name(kernel)
-        self._kernel_spec = kernel
-        self._kernel_obj = None
-
     def __getstate__(self) -> dict:
-        # The kernel object is transient (it may hold module references
-        # and derived caches); drop it so snapshots are kernel-portable
-        # and the restoring process re-resolves lazily.
         state = self.__dict__.copy()
-        state["_kernel_obj"] = None
+        del state["_kernel"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Blobs written while the kernel was selectable also carry the
+        # selection and an emptied kernel slot; every kernel answered
+        # identically, so both are dropped.
+        state.pop("_kernel_spec", None)
+        state.pop("_kernel_obj", None)
+        self.__dict__.update(state)
+        self._kernel = PyObjectKernel(self)
 
     # ------------------------------------------------------------------
     # incremental construction
@@ -632,8 +594,8 @@ class AdmissibilityChecker:
 
         Semantics are bit-identical to the per-record loop, including
         H-edge insertion order (event ``k``'s local edge, then event
-        ``k``'s message edges) -- the negative-cycle witness the kernels
-        report depends on edge order, so the interleaving is part of the
+        ``k``'s message edges) -- the negative-cycle witness the checker
+        reports depends on edge order, so the interleaving is part of the
         contract.  Local-order violations are detected in a validation
         pre-pass over the whole batch *before any mutation*, so a bad
         event column leaves the checker untouched; message errors
@@ -641,9 +603,8 @@ class AdmissibilityChecker:
         would mid-stream.  Exact duplicate messages are dropped, as in
         :meth:`add_message`.
 
-        Appends happen on the flat digraph arrays once per batch; any
-        attached kernel discovers them lazily (one ``extend``) at the
-        next oracle probe.  Returns the number of message edges added.
+        Appends happen on the flat digraph arrays once per batch.
+        Returns the number of message edges added.
         """
         processes, indexes = events
         n = len(processes)
@@ -941,8 +902,6 @@ class AdmissibilityChecker:
                 self._events_per_process[event.process] = remaining
             else:
                 del self._events_per_process[event.process]
-        if self._kernel_obj is not None:
-            self._kernel_obj.notify_rollback(token.n_nodes, token.n_edges)
 
     @contextmanager
     def speculate(self) -> Iterator["AdmissibilityChecker"]:
@@ -1398,8 +1357,6 @@ class AdmissibilityChecker:
             adj[tails[eidx]].append((heads[eidx], kinds[eidx]))
         self._adj = adj
         self._epoch += 1
-        if self._kernel_obj is not None:
-            self._kernel_obj.notify_compact()
 
     def removable_prefix(
         self, pinned: Iterable[Event] = ()
@@ -1506,13 +1463,9 @@ class AdmissibilityChecker:
         the sources, e.g. because the graph without the speculative
         additions is known negative-cycle-free.
 
-        The detection run itself is delegated to the bound kernel (see
-        :mod:`repro.core.kernel`): the reference ``py_object`` kernel is
-        exactly the loop described above
-        (:func:`repro.core.kernel.spfa_has_negative_cycle`); the
-        ``flat_int`` kernel short-circuits most probes through an exact
-        integer potential certificate and falls back to a warm
-        relaxation -- every kernel answers bit-identically.
+        The loop itself is
+        :func:`repro.core.kernel.spfa_has_negative_cycle`, run through
+        the checker's bound kernel.
         """
         return self._kernel.has_negative_cycle(p, q, sources)
 
@@ -1520,13 +1473,12 @@ class AdmissibilityChecker:
         """Extract one simple negative cycle, as execution-graph steps.
 
         Used only on the witness path (at most once per violation
-        query).  The detection-and-extraction run is the kernel-shared
+        query).  The detection-and-extraction run is
         :func:`repro.core.kernel.find_negative_cycle_edges` -- one
         round-based Bellman-Ford that records predecessor edge indices
         while detecting and pops the cycle out of the same run (the old
         shape re-ran ``n`` full rounds after detection just to rebuild
-        the predecessors) -- so witnesses are identical across kernels
-        by construction.
+        the predecessors).
         """
         cycle_edges = find_negative_cycle_edges(self, p, q)
         if cycle_edges is None:

@@ -450,20 +450,18 @@ def encode_spec(spec: MonitorSpec) -> tuple:
         spec.compact_threshold,
         None if spec.faulty is None else tuple(spec.faulty),
         spec.drop_faulty,
-        spec.kernel,
     )
 
 
 def decode_spec(wire: tuple) -> MonitorSpec:
-    # Pre-kernel frames are 4-tuples; tolerate them so old snapshots
-    # restore (their specs simply inherit the restoring group's kernel).
-    xi, compact_threshold, faulty, drop_faulty, *rest = wire
+    # Rows written while the kernel was selectable carry a fifth slot
+    # naming it; every kernel answered identically, so it is ignored.
+    xi, compact_threshold, faulty, drop_faulty, *_rest = wire
     return MonitorSpec(
         xi=decode_fraction(xi),
         compact_threshold=compact_threshold,
         faulty=None if faulty is None else frozenset(faulty),
         drop_faulty=drop_faulty,
-        kernel=rest[0] if rest else None,
     )
 
 

@@ -53,10 +53,9 @@ from typing import Any, Callable, Iterable
 from repro.obs import metrics as _obs_metrics
 from repro.runtime import codec
 from repro.runtime.shard import (
+    RatioQueries,
     TraceId,
     merge_violations,
-    ratio_histogram,
-    top_k_riskiest,
     violating_ids,
 )
 
@@ -235,16 +234,15 @@ class DeltaStore:
         return frame
 
 
-class DeltaView:
+class DeltaView(RatioQueries):
     """Fold a delta stream back into queryable fleet aggregates.
 
     Feed frames to :meth:`apply` (snapshot first, then each delta in
     order -- a gap in sequence numbers raises, so a view is either
     provably complete or loudly broken).  The aggregate methods then
-    answer from local state using the *same* helper functions
-    (:func:`~repro.runtime.shard.ratio_histogram`,
-    :func:`~repro.runtime.shard.top_k_riskiest`) the fleets use, so a
-    fully caught-up view reproduces the pull-side answers exactly.
+    answer from local state through the *same*
+    :class:`~repro.runtime.shard.RatioQueries` queries the fleets use,
+    so a fully caught-up view reproduces the pull-side answers exactly.
     """
 
     def __init__(self) -> None:
@@ -300,14 +298,6 @@ class DeltaView:
 
     def all_ratios(self) -> list[tuple[TraceId, Fraction | None]]:
         return list(self.ratios.items())
-
-    def worst_ratio_histogram(self) -> dict[Fraction | None, int]:
-        return ratio_histogram(self.ratios.items())
-
-    def top_k_riskiest(
-        self, k: int
-    ) -> list[tuple[TraceId, Fraction | None]]:
-        return top_k_riskiest(self.ratios.items(), k)
 
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
         """All known violation rows in the deterministic merged order."""

@@ -105,11 +105,10 @@ from repro.runtime.parallel import ParallelFleet
 from repro.runtime.shard import (
     FleetReport,
     TraceId,
+    RatioQueries,
     merge_violations,
-    ratio_histogram,
     shard_index_of,
     shard_totals,
-    top_k_riskiest,
     violating_ids,
 )
 
@@ -196,7 +195,7 @@ def _label_rows(rows: Iterable[tuple], key: str, value: str) -> tuple:
     return tuple(labeled)
 
 
-class IngestServer:
+class IngestServer(RatioQueries):
     """Network ingestion plane over ``n_fronts`` sharded fleet fronts.
 
     Args mirror :class:`~repro.runtime.parallel.ParallelFleet` where
@@ -232,7 +231,6 @@ class IngestServer:
         inbox_capacity: int = 16,
         credit_window: int = 32,
         monitor_specs: Any = None,
-        kernel: str | None = None,
         metrics_interval: float = 0.5,
     ) -> None:
         if n_fronts < 1:
@@ -274,7 +272,6 @@ class IngestServer:
                 wire_batch=wire_batch,
                 inbox_capacity=inbox_capacity,
                 monitor_specs=monitor_specs,
-                kernel=kernel,
                 shard_subset=tuple(
                     s for s in range(n_shards) if s % n_fronts == f
                 ),
@@ -810,14 +807,6 @@ class IngestServer:
         for front in self._fronts:
             out.extend(self._call(front, lambda fl: fl.all_ratios()))
         return out
-
-    def worst_ratio_histogram(self) -> dict[Fraction | None, int]:
-        return ratio_histogram(self.all_ratios())
-
-    def top_k_riskiest(
-        self, k: int
-    ) -> list[tuple[TraceId, Fraction | None]]:
-        return top_k_riskiest(self.all_ratios(), k)
 
     def violation_feed(self) -> tuple[tuple[int, TraceId], ...]:
         """All fronts' violation rows in one deterministic merged order."""

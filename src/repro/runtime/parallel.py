@@ -147,11 +147,10 @@ from repro.runtime.shard import (
     ShardStats,
     TraceId,
     TraceSummary,
+    RatioQueries,
     merge_violations,
-    ratio_histogram,
     shard_index_of as _shard_index,
     shard_totals,
-    top_k_riskiest,
     violating_ids,
 )
 from repro.sim.trace import ReceiveRecord
@@ -228,7 +227,7 @@ class _DispatcherObs:
         )
 
 
-class ParallelFleet:
+class ParallelFleet(RatioQueries):
     """The multi-worker fleet front end (see the module docstring).
 
     Args:
@@ -247,10 +246,6 @@ class ParallelFleet:
             module docstring's carve-out.
         compact_threshold: adaptive compaction cadence, per monitor.
         faulty / drop_faulty: per-monitor message filtering.
-        kernel: detection-kernel name shipped to every worker's shard
-            group (``None`` lets each worker follow its own
-            ``REPRO_KERNEL`` environment).  Every kernel is exact, so
-            mixed-kernel fleets stay bit-identical to serial runs.
         backend: ``"process"`` (default), ``"thread"``, or a backend
             instance (anything with ``spawn(...) -> WorkerHandle``).
         start_method: multiprocessing start method for the default
@@ -308,7 +303,6 @@ class ParallelFleet:
         compact_threshold: float | None = None,
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         drop_faulty: bool = True,
-        kernel: str | None = None,
         backend: str | Any = "process",
         start_method: str | None = None,
         wire_batch: int = 256,
@@ -410,9 +404,8 @@ class ParallelFleet:
         self._compact_threshold = compact_threshold
         self._faulty = frozenset(faulty)
         self._drop_faulty = drop_faulty
-        if kernel is not None:
-            resolve_kernel_name(kernel)  # fail in the caller, not a worker
-        self._kernel = kernel
+        # A stale REPRO_KERNEL fails in the caller, not in a worker.
+        resolve_kernel_name()
         self._monitor_factory = monitor_factory
         self._monitor_specs = monitor_specs
         self._inbox_capacity = inbox_capacity
@@ -573,7 +566,6 @@ class ParallelFleet:
             "compact_threshold": self._compact_threshold,
             "faulty": tuple(self._faulty),
             "drop_faulty": self._drop_faulty,
-            "kernel": self._kernel,
             "monitor_specs": codec.encode_specs(self._monitor_specs),
             # Pin the parent's telemetry setting in the child: fork
             # inherits it anyway, spawn would re-read only REPRO_OBS
@@ -612,10 +604,6 @@ class ParallelFleet:
     @property
     def event_budget(self) -> int | None:
         return self._event_budget
-
-    @property
-    def kernel(self) -> str | None:
-        return self._kernel
 
     # ------------------------------------------------------------------
     # routing and low-level messaging
@@ -1318,7 +1306,6 @@ class ParallelFleet:
             "compact_threshold": self._compact_threshold,
             "faulty": tuple(self._faulty),
             "drop_faulty": self._drop_faulty,
-            "kernel": self._kernel,
             "backend": self._backend_kind,
             "wire_batch": self.wire_batch,
             "inbox_capacity": self._inbox_capacity,
@@ -1385,7 +1372,6 @@ class ParallelFleet:
             compact_threshold=cfg["compact_threshold"],
             faulty=frozenset(cfg["faulty"]),
             drop_faulty=cfg["drop_faulty"],
-            kernel=cfg.get("kernel"),
             backend=backend,
             start_method=start_method,
             wire_batch=cfg["wire_batch"],
@@ -1607,7 +1593,9 @@ class ParallelFleet:
             self.worker_of(shard), ("degraded", shard, trace_id)
         )
 
-    def _all_ratios(self) -> list[tuple[TraceId, Fraction | None]]:
+    def all_ratios(self) -> list[tuple[TraceId, Fraction | None]]:
+        """(trace id, worst ratio) for every known trace, merged across
+        workers (a sync barrier; the serial fleet's ``all_ratios``)."""
         self._require_running()
         replies = self._barrier("ratios")
         out: list[tuple[TraceId, Fraction | None]] = []
@@ -1617,19 +1605,6 @@ class ParallelFleet:
                 for trace_id, wire in replies[worker_id]
             )
         return out
-
-    def all_ratios(self) -> list[tuple[TraceId, Fraction | None]]:
-        """(trace id, worst ratio) for every known trace, merged across
-        workers (a sync barrier; the serial fleet's ``all_ratios``)."""
-        return self._all_ratios()
-
-    def worst_ratio_histogram(self) -> dict[Fraction | None, int]:
-        return ratio_histogram(self._all_ratios())
-
-    def top_k_riskiest(
-        self, k: int
-    ) -> list[tuple[TraceId, Fraction | None]]:
-        return top_k_riskiest(self._all_ratios(), k)
 
     def violating_traces(self) -> tuple[TraceId, ...]:
         """Ids of violating traces in the deterministic merged order

@@ -100,7 +100,6 @@ def _build_group(
         compact_threshold=config["compact_threshold"],
         faulty=frozenset(config["faulty"]),
         drop_faulty=config["drop_faulty"],
-        kernel=config.get("kernel"),
         monitor_factory=config.get("monitor_factory"),
         monitor_specs=codec.decode_specs(config.get("monitor_specs")),
     )

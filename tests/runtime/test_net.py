@@ -479,74 +479,6 @@ class TestIngestServer:
             assert set(server.violating_traces()) == violating
 
 
-class TestMixedKernelFronts:
-    """Cross-kernel bit identity through the network plane: fronts on
-    different detection kernels, interleaved tick spaces, and the full
-    socket server must all reproduce the ``py_object`` serial answers
-    exactly (the kernel contract of :mod:`repro.core.kernel`)."""
-
-    def test_mixed_kernel_fronts_interleave_bit_identically(self):
-        # Front 0 runs flat_int, front 1 runs py_object: the merged
-        # answers and violation feed must match the uniform serial
-        # fleet, tick interleaving and all.
-        stream = workload(seed=21, n_traces=26)
-        ratios, degraded, violating = serial_answers(stream)
-        fronts = [
-            ParallelFleet(
-                XI,
-                n_workers=1,
-                n_shards=8,
-                batch_size=16,
-                backend="thread",
-                shard_subset=tuple(s for s in range(8) if s % 2 == f),
-                tick_start=f + 1,
-                tick_step=2,
-                kernel=("flat_int", "py_object")[f],
-            )
-            for f in range(2)
-        ]
-        try:
-            for tid, rec in stream:
-                fronts[shard_index_of(tid, 8) % 2].ingest(tid, rec)
-            for front in fronts:
-                front.flush()
-            got_ratios = {}
-            rows = []
-            for front in fronts:
-                got_ratios.update(dict(front.all_ratios()))
-                rows.extend(front.violation_feed())
-            assert got_ratios == ratios
-            for tid in got_ratios:
-                assert (
-                    fronts[shard_index_of(tid, 8) % 2].is_degraded(tid)
-                    == degraded[tid]
-                )
-            ticks = [t for t, _ in rows]
-            assert len(ticks) == len(set(ticks))
-            assert {tid for _t, tid in rows} == violating
-        finally:
-            for front in fronts:
-                front.shutdown()
-
-    def test_server_on_flat_int_matches_serial_over_sockets(self):
-        # The whole ingestion plane -- framing, credit windows, sharded
-        # fronts -- with every front's workers on the flat kernel.
-        stream = workload(seed=22, n_traces=20)
-        ratios, _degraded, violating = serial_answers(stream)
-        ids = sorted({tid for tid, _ in stream}, key=str)
-        with IngestServer(
-            XI,
-            n_fronts=2,
-            batch_size=16,
-            kernel="flat_int",
-        ) as server:
-            drive(server, stream)
-            assert {
-                tid: server.worst_ratio(tid) for tid in ids
-            } == ratios
-            assert set(server.violating_traces()) == violating
-
-
 class TestProduceModes:
     """The server reads exactly one produce frame shape: rows."""
 

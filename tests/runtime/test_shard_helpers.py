@@ -4,9 +4,11 @@ Every fleet front end -- the serial :class:`MonitorFleet`, the
 :class:`ParallelFleet` and the :class:`IngestServer` -- derives its
 report totals and its violation order from the same three helpers:
 :func:`shard_totals`, :func:`merge_violations` and
-:func:`violating_ids`.  These tests pin each helper's contract on its
-own, then check that every front's report is exactly what the helpers
-make of its own per-shard rows and violation feed.
+:func:`violating_ids`, and its ratio histogram and watchlist from its
+own ``all_ratios()`` through :class:`RatioQueries` (as does the
+delta-stream :class:`DeltaView`).  These tests pin each helper's
+contract on its own, then check that every front's answers are exactly
+what the helpers make of its own rows.
 """
 
 import dataclasses
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.fleet import MonitorFleet
 from repro.runtime import ParallelFleet
-from repro.runtime.net import IngestServer, ProducerClient
+from repro.runtime.net import DeltaView, IngestServer, ProducerClient
 from repro.runtime.shard import (
     FleetReport,
+    RatioQueries,
     ShardStats,
     merge_violations,
     shard_totals,
@@ -222,3 +225,96 @@ class TestFrontReports:
         assert_report_from_helpers(report, stream)
         assert feed == merge_violations(feed)
         assert report.violating_traces == violating_ids(feed)
+
+
+# ----------------------------------------------------------------------
+# RatioQueries: histogram and watchlist from all_ratios()
+# ----------------------------------------------------------------------
+
+
+class FixedRatios(RatioQueries):
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def all_ratios(self):
+        return list(self.pairs)
+
+
+PAIRS = [
+    ("b", Fraction(3)),
+    ("a", Fraction(3)),
+    ("c", None),
+    ("d", Fraction(5, 2)),
+    (7, Fraction(3)),
+    ("e", None),
+]
+
+
+class TestRatioQueries:
+    def test_histogram_counts_each_exact_ratio(self):
+        assert FixedRatios(PAIRS).worst_ratio_histogram() == {
+            Fraction(3): 3,
+            None: 2,
+            Fraction(5, 2): 1,
+        }
+
+    def test_top_k_descending_ties_by_id_none_last(self):
+        queries = FixedRatios(PAIRS)
+        assert queries.top_k_riskiest(4) == [
+            (7, Fraction(3)),
+            ("a", Fraction(3)),
+            ("b", Fraction(3)),
+            ("d", Fraction(5, 2)),
+        ]
+        assert [tid for tid, _ in queries.top_k_riskiest(10)][-2:] == [
+            "c",
+            "e",
+        ]
+        assert queries.top_k_riskiest(0) == []
+        with pytest.raises(ValueError, match="non-negative"):
+            queries.top_k_riskiest(-1)
+
+    @pytest.mark.parametrize(
+        "front_end", [MonitorFleet, ParallelFleet, IngestServer, DeltaView]
+    )
+    def test_every_front_end_inherits_them(self, front_end):
+        assert issubclass(front_end, RatioQueries)
+        for name in ("worst_ratio_histogram", "top_k_riskiest"):
+            assert name not in vars(front_end), name
+        assert "all_ratios" in vars(front_end)
+
+    def test_monitor_fleet_all_ratios_lists_every_trace_once(self):
+        stream = small_stream()
+        cut = len(stream) // 2
+        fleet = MonitorFleet(xi=XI, n_shards=4, batch_size=8)
+        fleet.ingest_many(stream[:cut])
+        later = {tid for tid, _ in stream[cut:]}
+        early = [tid for tid, _ in stream[:cut]]
+        reopened = next(tid for tid in early if tid in later)
+        retired = next(tid for tid in early if tid not in later)
+        fleet.close(reopened)
+        fleet.close(retired)
+        fleet.ingest_many(stream[cut:])
+        assert fleet.is_degraded(reopened) and fleet.retired_traces == 1
+        pairs = fleet.all_ratios()
+        ids = [tid for tid, _ in pairs]
+        assert sorted(ids) == sorted({tid for tid, _ in stream})
+        assert dict(pairs) == {tid: fleet.worst_ratio(tid) for tid in ids}
+        assert fleet.worst_ratio_histogram() == FixedRatios(
+            pairs
+        ).worst_ratio_histogram()
+        assert fleet.top_k_riskiest(3) == FixedRatios(pairs).top_k_riskiest(3)
+
+    def test_parallel_fleet_matches_serial(self):
+        stream = small_stream()
+        serial = MonitorFleet(xi=XI, n_shards=4, batch_size=8)
+        serial.ingest_many(stream)
+        with ParallelFleet(
+            xi=XI, n_shards=4, n_workers=2, batch_size=8, backend="thread"
+        ) as fleet:
+            fleet.ingest_many(stream)
+            assert dict(fleet.all_ratios()) == dict(serial.all_ratios())
+            assert (
+                fleet.worst_ratio_histogram() == serial.worst_ratio_histogram()
+            )
+            assert fleet.top_k_riskiest(4) == serial.top_k_riskiest(4)

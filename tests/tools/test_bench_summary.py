@@ -26,9 +26,9 @@ def write_artifacts(root: Path) -> list[Path]:
             "speedup": 3.25,
             "serial": {"records_per_s": 120_000.0},
         },
-        # nested headline path (kernel gates on gate.oracle_speedup)
-        "BENCH_kernel.json": {
-            "gate": {"oracle_speedup": 2.5},
+        # nested headline path (e2e gates on gate.e2e_speedup)
+        "BENCH_e2e.json": {
+            "gate": {"e2e_speedup": 2.5},
             "detail": {"ratio": 0.8},
         },
         # a ceiling-gated headline (lower is better) plus an ungated
@@ -64,9 +64,9 @@ class TestSummarize:
         table = bench_summary.summarize(paths)
         lines = table.splitlines()
         assert lines[0].startswith("| benchmark ")
-        # kernel's nested headline and parallel's flat one are gated
+        # e2e's nested headline and parallel's flat one are gated
         gated = [line for line in lines if "**gated**" in line]
-        assert any("oracle_speedup" in line for line in gated)
+        assert any("gate.e2e_speedup" in line for line in gated)
         assert any(
             "parallel" in line and "| speedup |" in line for line in gated
         )
@@ -104,7 +104,7 @@ class TestMain:
         assert "| benchmark |" in printed
         written = out.read_text()
         assert "## Benchmark summary" in written
-        assert "oracle_speedup" in written
+        assert "e2e_speedup" in written
         # append mode: a second run must not truncate the first
         bench_summary.main([str(paths[0]), "--out", str(out)])
         assert out.read_text().count("## Benchmark summary") == 2

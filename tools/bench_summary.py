@@ -37,7 +37,6 @@ HEADLINES = {
     "parallel": "speedup",
     "recovery": "ratio",
     "ingest": "speedup",
-    "kernel": "gate.oracle_speedup",
     "e2e": "gate.e2e_speedup",
     # lower is better: the telemetry residue with instruments off,
     # ceilinged at 0.02 in CI
@@ -60,7 +59,7 @@ def numeric_leaves(value, path=""):
 
 
 def bench_name(path: Path) -> str:
-    stem = path.stem  # BENCH_kernel -> kernel
+    stem = path.stem  # BENCH_e2e -> e2e
     return stem[6:] if stem.startswith("BENCH_") else stem
 
 

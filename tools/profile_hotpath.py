@@ -2,16 +2,17 @@
 
 Where does an observed record's time actually go?  This harness runs
 the same workloads the acceptance benchmarks gate -- the 200-event
-``bench_kernel`` monitor replay, and the ``bench_e2e`` wire-to-kernel
-ingest span -- under ``cProfile`` and prints the top functions, so a
-perf regression shows up as a *named function* rather than a bare
-ratio.  Three targets:
+``bench_table_incremental`` monitor replay, and the ``bench_e2e``
+wire-to-kernel ingest span -- under ``cProfile`` and prints the top
+functions, so a perf regression shows up as a *named function* rather
+than a bare ratio.  Three targets:
 
-* ``monitor`` (default) -- the ``bench_kernel`` gate workload replayed
-  record by record through ``OnlineAbcMonitor.observe``.  Expect the
-  ratio-search oracle (``_has_negative_cycle`` and the kernel under
-  it) to dominate; that split is exactly why the e2e benchmark times
-  the ingest span separately.
+* ``monitor`` (default) -- the ``bench_table_incremental`` gate
+  workload replayed record by record through
+  ``OnlineAbcMonitor.observe``.  Expect the ratio-search oracle
+  (``_has_negative_cycle`` and the SPFA under it) to dominate; that
+  split is exactly why the e2e benchmark times the ingest span
+  separately.
 * ``ingest-object`` -- the per-record object path of ``bench_e2e``
   (decode records, absorb through ``add_event``/``add_message``).
 * ``ingest-columnar`` -- the columnar path (``decode_records_columnar``
@@ -24,7 +25,7 @@ Usage::
     python tools/profile_hotpath.py                      # monitor, top 25
     python tools/profile_hotpath.py --target ingest-object --top 15
     python tools/profile_hotpath.py --target ingest-columnar --sort tottime
-    python tools/profile_hotpath.py --kernel py_object --events 100
+    python tools/profile_hotpath.py --events 100
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ for entry in (str(REPO / "src"), str(REPO / "benchmarks")):
 TARGETS = ("monitor", "ingest-object", "ingest-columnar")
 
 
-def monitor_workload(events: int, kernel: str):
+def monitor_workload(events: int):
     from bench_table_incremental import make_workload
 
     from repro.analysis.online import OnlineAbcMonitor
@@ -52,15 +53,15 @@ def monitor_workload(events: int, kernel: str):
     trace, _prefixes = make_workload(events)
 
     def body():
-        monitor = OnlineAbcMonitor(kernel=kernel)
+        monitor = OnlineAbcMonitor()
         for record in trace.records:
             monitor.observe(record)
         return monitor.worst_ratio
 
-    return body, f"monitor replay, {len(trace.records)} records ({kernel})"
+    return body, f"monitor replay, {len(trace.records)} records"
 
 
-def ingest_workload(events: int, kernel: str, columnar: bool):
+def ingest_workload(events: int, columnar: bool):
     import bench_e2e
 
     wires = bench_e2e.gate_workload(bench_e2e.DEFAULT_GATE_TRACES, events)
@@ -70,10 +71,10 @@ def ingest_workload(events: int, kernel: str, columnar: bool):
     n = sum(len(w) for w in wires)
 
     def body():
-        return run(wires, bench_e2e.DEFAULT_BATCH, frozenset(), kernel)
+        return run(wires, bench_e2e.DEFAULT_BATCH, frozenset())
 
     path = "columnar" if columnar else "object"
-    return body, f"{path} ingest, {n} wire records ({kernel})"
+    return body, f"{path} ingest, {n} wire records"
 
 
 def main(argv=None) -> int:
@@ -83,18 +84,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--target", choices=TARGETS, default="monitor",
-        help="which hot path to profile (default: the bench_kernel "
-        "monitor replay)",
+        help="which hot path to profile (default: the "
+        "bench_table_incremental monitor replay)",
     )
     parser.add_argument(
         "--events", type=int, default=200,
         help="workload size: records for monitor, events per gate "
         "trace for ingest targets",
-    )
-    parser.add_argument(
-        "--kernel", default="flat_int",
-        help="detection kernel (default flat_int; try py_object to "
-        "profile the reference kernel)",
     )
     parser.add_argument(
         "--top", type=int, default=25,
@@ -114,13 +110,13 @@ def main(argv=None) -> int:
 
     random.seed(0)  # workload builders draw from seeded rngs anyway
     if args.target == "monitor":
-        body, label = monitor_workload(args.events, args.kernel)
+        body, label = monitor_workload(args.events)
     else:
         body, label = ingest_workload(
-            args.events, args.kernel, args.target == "ingest-columnar"
+            args.events, args.target == "ingest-columnar"
         )
 
-    body()  # warm: imports, first-touch allocations, kernel dispatch
+    body()  # warm: imports, first-touch allocations
     profiler = cProfile.Profile()
     profiler.enable()
     body()
